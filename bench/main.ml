@@ -2678,9 +2678,10 @@ let serve_exp setup =
     Serve.Server.config ~workers ~queue_depth:64
       ~alphabet:Bioseq.Alphabet.protein ~socket_path:path ()
   in
+  let image = Lazy.force setup.packed in
   let server =
     Serve.Server.create cfg ~make_worker:(fun _ ->
-        Serve.Backend.mem ~tree:setup.tree ~db:setup.db ())
+        Serve.Backend.packed ~image ~db:setup.db ())
   in
   let daemon = Domain.spawn (fun () -> Serve.Server.run server) in
   let deadline = Unix.gettimeofday () +. 10. in

@@ -1613,10 +1613,15 @@ let serve_cmd =
           | None -> failwith "give --db or --index"
         in
         let db = load_db fasta in
-        (* One immutable tree image serves every worker; each worker
-           only owns an engine session (the reentrancy unit). *)
-        let tree = Suffix_tree.Ukkonen.build db in
-        fun _ -> Serve.Backend.mem ~tree ~db ()
+        (* One immutable packed image serves every worker; each worker
+           only owns an engine session (the reentrancy unit). The image
+           is built straight from the database (no pointer tree), and
+           the construction arrays are collected before the first
+           request, so serving reuses their heap instead of growing
+           past it. *)
+        let image = Suffix_tree.Packed.build db in
+        Gc.full_major ();
+        fun _ -> Serve.Backend.packed ~image ~db ()
     in
     let cfg =
       Serve.Server.config ~workers ~queue_depth ~allow_sleep ~alphabet

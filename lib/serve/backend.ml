@@ -102,23 +102,25 @@ let seeded_config ~dbs ~query ~seed (config : Oasis.Engine.config) =
       | Some s when s > config.min_score -> { config with min_score = s }
       | _ -> config)
 
-(* --- in-memory: one shared tree image, one session per worker --- *)
+(* --- in-memory: one shared packed image, one session per worker --- *)
 
-let mem ~tree ~db () =
-  let session = Oasis.Engine.Mem.Session.create () in
+let packed ~image ~db () =
+  let session = Oasis.Engine.Packed.Session.create () in
   let search ~query ~config ~seed =
     let config = seeded_config ~dbs:[ db ] ~query ~seed config in
     let engine =
-      Oasis.Engine.Mem.create ~session ~source:tree ~db ~query config
+      Oasis.Engine.Packed.create ~session ~source:image ~db ~query config
     in
     {
-      next = (fun () -> Oasis.Engine.Mem.next engine);
-      outcome = (fun () -> Oasis.Engine.Mem.outcome engine);
+      next = (fun () -> Oasis.Engine.Packed.next engine);
+      outcome = (fun () -> Oasis.Engine.Packed.outcome engine);
       seq_id = db_seq_id db;
       finish = ignore;
     }
   in
   { search; close = ignore }
+
+let mem ~tree ~db () = packed ~image:(Suffix_tree.Packed.of_tree tree) ~db ()
 
 (* --- on-disk: a private tree handle (the buffer pool is
    single-owner) opened once and kept hot across requests --- *)

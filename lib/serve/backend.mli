@@ -5,10 +5,11 @@
     across requests, so steady-state queries touch no index-opening
     path at all. What a worker owns depends on the index:
 
-    - {!mem}: nothing but an engine {!Oasis.Engine.Mem.Session} — all
-      workers share ONE immutable suffix-tree image (tree reads never
-      mutate after the Ukkonen build), which is the point of the
-      session refactor: K concurrent searches, one tree;
+    - {!packed} (and its adapter {!mem}): nothing but an
+      {!Oasis.Engine.Packed} session — all workers share ONE immutable
+      {!Suffix_tree.Packed} image, read-only after its build, which is
+      the point of the session refactor: K concurrent searches, one
+      image;
     - {!disk} / {!sharded}: a private {!Storage.Disk_tree} (and buffer
       pool) per worker, because the buffer pool is single-owner by
       design — replicating the handle, not the data;
@@ -52,7 +53,17 @@ val parse :
     — comes back as a message for a [Bad_request] reject, never an
     exception. *)
 
+val packed :
+  image:Suffix_tree.Packed.t -> db:Bioseq.Database.t -> unit -> worker
+(** Searches [image] with {!Oasis.Engine.Packed}. Pass every worker the
+    same image ([oasis serve --db] builds one with
+    {!Suffix_tree.Packed.build}); [db] must be the database it was built
+    on. *)
+
 val mem : tree:Suffix_tree.Tree.t -> db:Bioseq.Database.t -> unit -> worker
+(** [packed ~image:(Suffix_tree.Packed.of_tree tree)]: packs [tree] on
+    every call, so build the image once and use {!packed} to share it
+    across workers. *)
 
 val disk :
   dir:string ->

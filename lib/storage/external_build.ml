@@ -38,7 +38,7 @@ let write ?(layout = Disk_tree.Position_indexed) db ~symbols ~internal ~leaves =
       if positions <> [] then begin
         (* Build this partition's subtree, serialize it, drop it. *)
         let mini = Suffix_tree.Tree.create db in
-        List.iter (Suffix_tree.Tree.insert_suffix_naive mini) positions;
+        List.iter (Suffix_tree.Ukkonen.insert_suffix_naive mini) positions;
         List.iter
           (fun child ->
             let entry = Disk_tree.Private.serialize_root_child sink child in

@@ -68,12 +68,141 @@ let iter_positions t n f =
     f t.pos.(p)
   done
 
+(* What packing reads from a built tree: the pointer tree ({!of_tree})
+   and the flat construction store ({!build}) both provide it. *)
+module type VIEW = sig
+  type t
+  type node
+
+  val root : t -> node
+  val is_leaf : t -> node -> bool
+  val start : t -> node -> int
+  val stop : t -> node -> int
+  val iter_children : t -> node -> (node -> unit) -> unit
+  val iter_positions : t -> node -> (int -> unit) -> unit
+end
+
+module Pack (V : VIEW) = struct
+  (* One preorder DFS in canonical child order (internal children first,
+     then leaves). Internal ids and leaf numbers are assigned at visit
+     time, so every subtree occupies one contiguous range of both. Each
+     stack item carries the child slot its handle backpatches ([-1] for
+     the root). An explicit stack keeps degenerate (path-shaped) trees
+     from overflowing native recursion. *)
+  let pack db v ~internal:ni ~leaves:nl ~positions:np =
+    let data = Bioseq.Database.data db in
+    let slots = ni - 1 + nl in
+    let p =
+      {
+        db;
+        node_start = Array.make ni 0;
+        node_stop = Array.make ni 0;
+        ch_off = Array.make (ni + 1) 0;
+        leaf_lo = Array.make ni 0;
+        leaf_hi = Array.make ni 0;
+        c_handle = Array.make (max slots 1) 0;
+        c_start = Array.make (max slots 1) 0;
+        c_stop = Array.make (max slots 1) 0;
+        c_sym = Array.make (max slots 1) 0;
+        leaf_start = Array.make (max nl 1) 0;
+        leaf_stop = Array.make (max nl 1) 0;
+        pos_off = Array.make (nl + 1) 0;
+        pos = Array.make (max np 1) 0;
+      }
+    in
+    let next_internal = ref 0
+    and next_leaf = ref 0
+    and next_slot = ref 0
+    and next_pos = ref 0 in
+    let stack = ref [ (V.root v, -1) ] in
+    let pack_leaf n slot =
+      let l = !next_leaf in
+      incr next_leaf;
+      p.leaf_start.(l) <- V.start v n;
+      p.leaf_stop.(l) <- V.stop v n;
+      p.pos_off.(l) <- !next_pos;
+      V.iter_positions v n (fun q ->
+          p.pos.(!next_pos) <- q;
+          incr next_pos);
+      if slot >= 0 then p.c_handle.(slot) <- lnot l
+    in
+    let continue = ref true in
+    while !continue do
+      match !stack with
+      | [] -> continue := false
+      | (n, slot) :: rest ->
+        stack := rest;
+        if V.is_leaf v n then pack_leaf n slot
+        else begin
+          let i = !next_internal in
+          incr next_internal;
+          if slot >= 0 then p.c_handle.(slot) <- i;
+          p.node_start.(i) <- V.start v n;
+          p.node_stop.(i) <- V.stop v n;
+          p.leaf_lo.(i) <- !next_leaf;
+          (* Reserve this node's child run and queue the children. The
+             run is filled back to front while pushing, so the canonical
+             order pops (and packs) first. *)
+          let internals = ref [] and leafs = ref [] and count = ref 0 in
+          V.iter_children v n (fun c ->
+              incr count;
+              if V.is_leaf v c then leafs := c :: !leafs
+              else internals := c :: !internals);
+          let first_slot = !next_slot in
+          next_slot := first_slot + !count;
+          p.ch_off.(i) <- first_slot;
+          let fill = ref (first_slot + !count - 1) in
+          let queue c =
+            let slot = !fill in
+            decr fill;
+            let start = V.start v c in
+            p.c_start.(slot) <- start;
+            p.c_stop.(slot) <- V.stop v c;
+            p.c_sym.(slot) <-
+              (if start < V.stop v c then Char.code (Bytes.unsafe_get data start)
+               else -1);
+            stack := (c, slot) :: !stack
+          in
+          (* [internals]/[leafs] are already reversed sibling runs, so
+             queueing leaves first then internals pushes the exact
+             reverse of canonical order. *)
+          List.iter queue !leafs;
+          List.iter queue !internals
+        end
+    done;
+    p.ch_off.(ni) <- !next_slot;
+    p.pos_off.(nl) <- !next_pos;
+    (* [leaf_hi]: every internal node's subtree is a contiguous id range
+       and children have larger ids than their parent in preorder, so a
+       right-to-left sweep takes each node's [leaf_hi] as the max over
+       its child run. *)
+    for i = ni - 1 downto 0 do
+      let hi = ref p.leaf_lo.(i) in
+      for k = p.ch_off.(i) to p.ch_off.(i + 1) - 1 do
+        let h = p.c_handle.(k) in
+        let child_hi = if h < 0 then lnot h + 1 else p.leaf_hi.(h) in
+        if child_hi > !hi then hi := child_hi
+      done;
+      p.leaf_hi.(i) <- !hi
+    done;
+    p
+end
+
+module Pack_tree = Pack (struct
+  type t = Tree.t
+  type node = Node.t
+
+  let root = Tree.root
+  let is_leaf _ n = Node.is_leaf n
+  let start _ (n : node) = n.Node.start
+  let stop _ (n : node) = n.Node.stop
+  let iter_children _ n f = Node.iter_children n f
+  let iter_positions _ (n : node) f = List.iter f n.Node.positions
+end)
+
 let of_tree tree =
-  let db = Tree.database tree in
-  let data = Bioseq.Database.data db in
-  (* Pass 1: count internals, leaves, child slots and positions. An
-     explicit stack keeps degenerate (path-shaped) trees from
-     overflowing native recursion. *)
+  (* Count internals, leaves and positions first (explicit stack, as in
+     the packing pass). *)
   let ni = ref 0 and nl = ref 0 and np = ref 0 in
   let stack = ref [ Tree.root tree ] in
   let continue = ref true in
@@ -91,109 +220,146 @@ let of_tree tree =
         Node.iter_children n (fun c -> stack := c :: !stack)
       end
   done;
-  let ni = !ni and nl = !nl and np = !np in
-  let slots = ni - 1 + nl in
-  let p =
-    {
-      db;
-      node_start = Array.make ni 0;
-      node_stop = Array.make ni 0;
-      ch_off = Array.make (ni + 1) 0;
-      leaf_lo = Array.make ni 0;
-      leaf_hi = Array.make ni 0;
-      c_handle = Array.make (max slots 1) 0;
-      c_start = Array.make (max slots 1) 0;
-      c_stop = Array.make (max slots 1) 0;
-      c_sym = Array.make (max slots 1) 0;
-      leaf_start = Array.make (max nl 1) 0;
-      leaf_stop = Array.make (max nl 1) 0;
-      pos_off = Array.make (nl + 1) 0;
-      pos = Array.make (max np 1) 0;
-    }
-  in
-  (* Pass 2: preorder DFS in canonical child order (internal children
-     first, then leaves). Internal ids and leaf numbers are assigned at
-     visit time, so every subtree occupies one contiguous range of
-     both. Each stack item carries the child slot its handle backpatches
-     ([-1] for the root). *)
-  let next_internal = ref 0
-  and next_leaf = ref 0
-  and next_slot = ref 0
-  and next_pos = ref 0 in
-  let stack = ref [ (Tree.root tree, -1) ] in
-  let pack_leaf (n : Node.t) slot =
-    let l = !next_leaf in
-    incr next_leaf;
-    p.leaf_start.(l) <- n.Node.start;
-    p.leaf_stop.(l) <- n.Node.stop;
-    p.pos_off.(l) <- !next_pos;
-    List.iter
-      (fun q ->
-        p.pos.(!next_pos) <- q;
-        incr next_pos)
-      n.Node.positions;
-    if slot >= 0 then p.c_handle.(slot) <- lnot l
-  in
-  let continue = ref true in
-  while !continue do
-    match !stack with
-    | [] -> continue := false
-    | (n, slot) :: rest ->
-      stack := rest;
-      if Node.is_leaf n then pack_leaf n slot
-      else begin
-        let i = !next_internal in
-        incr next_internal;
-        if slot >= 0 then p.c_handle.(slot) <- i;
-        p.node_start.(i) <- n.Node.start;
-        p.node_stop.(i) <- n.Node.stop;
-        p.leaf_lo.(i) <- !next_leaf;
-        (* Reserve this node's child run and queue the children. The
-           run is filled back to front while pushing, so the canonical
-           order pops (and packs) first. *)
-        let internals = ref [] and leafs = ref [] in
-        Node.iter_children n (fun c ->
-            if Node.is_leaf c then leafs := c :: !leafs
-            else internals := c :: !internals);
-        let count = List.length !internals + List.length !leafs in
-        let first_slot = !next_slot in
-        next_slot := first_slot + count;
-        p.ch_off.(i) <- first_slot;
-        let fill = ref (first_slot + count - 1) in
-        let queue (c : Node.t) =
-          let slot = !fill in
-          decr fill;
-          p.c_start.(slot) <- c.Node.start;
-          p.c_stop.(slot) <- c.Node.stop;
-          p.c_sym.(slot) <-
-            (if c.Node.start < c.Node.stop then
-               Char.code (Bytes.unsafe_get data c.Node.start)
-             else -1);
-          stack := (c, slot) :: !stack
-        in
-        (* [internals]/[leafs] are already reversed sibling runs, so
-           queueing leaves first then internals pushes the exact
-           reverse of canonical order. *)
-        List.iter queue !leafs;
-        List.iter queue !internals
+  Pack_tree.pack (Tree.database tree) tree ~internal:!ni ~leaves:!nl
+    ~positions:!np
+
+(* The flat construction store: one [int] per node per field, node [0]
+   the root, [-1] for "none". A leaf never carries a suffix link, so its
+   [link] slot holds its most recently recorded position instead; the
+   rest of its positions chain through [pos_next], which is indexed by
+   position (every database position is recorded on exactly one
+   leaf). *)
+module Flat = struct
+  type t = {
+    db : Bioseq.Database.t;
+    mutable start : int array;
+    mutable stop : int array;
+    mutable first_child : int array;
+    mutable next_sibling : int array;
+    mutable link : int array;
+    pos_next : int array;
+    mutable nodes : int;
+    mutable leaves : int;
+  }
+
+  type node = int
+
+  let create db =
+    let n = Bioseq.Database.data_length db in
+    (* A suffix tree has at most 2n nodes, but real inputs fill fewer
+       (about 1.3n for protein, 1.6n for DNA): start at 1.5n and grow
+       by half when that runs out. *)
+    let cap = max 16 (n + (n / 2)) in
+    let t =
+      {
+        db;
+        start = Array.make cap 0;
+        stop = Array.make cap 0;
+        first_child = Array.make cap (-1);
+        next_sibling = Array.make cap (-1);
+        link = Array.make cap (-1);
+        pos_next = Array.make (max n 1) (-1);
+        nodes = 1;
+        leaves = 0;
+      }
+    in
+    t.start.(0) <- -1;
+    t
+
+  let grow t =
+    let cap = Array.length t.start in
+    let cap' = cap + (cap / 2) in
+    let extend a fill =
+      let a' = Array.make cap' fill in
+      Array.blit a 0 a' 0 cap;
+      a'
+    in
+    t.start <- extend t.start 0;
+    t.stop <- extend t.stop 0;
+    t.first_child <- extend t.first_child (-1);
+    t.next_sibling <- extend t.next_sibling (-1);
+    t.link <- extend t.link (-1)
+
+  let alloc t ~start ~stop =
+    if t.nodes = Array.length t.start then grow t;
+    let n = t.nodes in
+    t.nodes <- n + 1;
+    t.start.(n) <- start;
+    t.stop.(n) <- stop;
+    n
+
+  let database t = t.db
+  let root _ = 0
+  let is_leaf t n = n > 0 && t.first_child.(n) < 0
+
+  let find_child t ~data n code =
+    let rec scan c =
+      if c < 0 then None
+      else if Char.code (Bytes.unsafe_get data t.start.(c)) = code then Some c
+      else scan t.next_sibling.(c)
+    in
+    scan t.first_child.(n)
+
+  let add_child t parent child =
+    t.next_sibling.(child) <- t.first_child.(parent);
+    t.first_child.(parent) <- child
+
+  let replace_child t parent ~old_child ~new_child =
+    let rec scan prev c =
+      if c < 0 then invalid_arg "Packed.Flat.replace_child: not a child"
+      else if c = old_child then begin
+        t.next_sibling.(new_child) <- t.next_sibling.(c);
+        t.next_sibling.(c) <- -1;
+        if prev < 0 then t.first_child.(parent) <- new_child
+        else t.next_sibling.(prev) <- new_child
       end
+      else scan c t.next_sibling.(c)
+    in
+    scan (-1) t.first_child.(parent)
+
+  let make_leaf t ~start ~stop ~position =
+    let n = alloc t ~start ~stop in
+    t.leaves <- t.leaves + 1;
+    t.link.(n) <- position;
+    n
+
+  let make_internal t ~start ~stop = alloc t ~start ~stop
+  let start t n = t.start.(n)
+  let stop t n = t.stop.(n)
+  let set_start t n v = t.start.(n) <- v
+
+  let suffix_link t n =
+    let l = t.link.(n) in
+    if l < 0 then None else Some l
+
+  let set_suffix_link t n target = t.link.(n) <- target
+
+  let add_position t n pos =
+    t.pos_next.(pos) <- t.link.(n);
+    t.link.(n) <- pos
+
+  let iter_children t n f =
+    let c = ref t.first_child.(n) in
+    while !c >= 0 do
+      f !c;
+      c := t.next_sibling.(!c)
+    done
+
+  let iter_positions t n f =
+    let q = ref t.link.(n) in
+    while !q >= 0 do
+      f !q;
+      q := t.pos_next.(!q)
+    done
+end
+
+module Flat_build = Ukkonen.Make (Flat)
+module Pack_flat = Pack (Flat)
+
+let build db =
+  let s = Flat.create db in
+  for i = 0 to Bioseq.Database.num_sequences db - 1 do
+    Flat_build.build_sequence s i
   done;
-  p.ch_off.(ni) <- !next_slot;
-  p.pos_off.(nl) <- !next_pos;
-  (* [leaf_hi]: with preorder internal ids and DFS leaf numbering, node
-     [i]'s subtree leaves end where the subtree of the next preorder
-     node outside it begins. A linear reverse sweep recovers it without
-     sentinels: every internal node's subtree is a contiguous id range,
-     so [leaf_hi] of [i] is the max of its children's — computed here
-     from the child runs, right to left (children have larger ids than
-     their parent in preorder). *)
-  for i = ni - 1 downto 0 do
-    let hi = ref p.leaf_lo.(i) in
-    for k = p.ch_off.(i) to p.ch_off.(i + 1) - 1 do
-      let h = p.c_handle.(k) in
-      let child_hi = if h < 0 then lnot h + 1 else p.leaf_hi.(h) in
-      if child_hi > !hi then hi := child_hi
-    done;
-    p.leaf_hi.(i) <- !hi
-  done;
-  p
+  Pack_flat.pack db s ~internal:(s.nodes - s.leaves) ~leaves:s.leaves
+    ~positions:(Bioseq.Database.data_length db)

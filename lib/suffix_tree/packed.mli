@@ -18,9 +18,9 @@
       enumerating the suffix positions below a node is a flat slice
       scan instead of a recursive list walk.
 
-    The packing is built once per tree ({!of_tree}, linear time and
-    space) and shared read-only by any number of concurrent searches,
-    exactly like the tree it mirrors. *)
+    The packing is built once per database ({!build}, or {!of_tree} from
+    a pointer tree; linear time and space) and shared read-only by any
+    number of concurrent searches, exactly like the tree it mirrors. *)
 
 type t
 
@@ -33,6 +33,17 @@ val of_tree : Tree.t -> t
 (** Pack [tree]. The packing borrows the tree's database (it copies no
     symbol data); later in-place growth of the underlying tree is not
     reflected — pack again after an append. *)
+
+val build : Bioseq.Database.t -> t
+(** Build the packing straight from [db], without the pointer tree:
+    {!Ukkonen.Make} runs over flat [int] arrays (start, stop, first
+    child, next sibling, suffix link, and a position chain, sized from
+    1.5 nodes per symbol and grown by half as needed), which one
+    preorder pass then packs. The result is identical, array for array,
+    to [of_tree (Ukkonen.build db)] — same sibling order, same handles —
+    so engine hit streams are too. The construction arrays are garbage
+    once [build] returns; a long-lived caller that cares about its peak
+    heap collects them ([Gc.full_major]) before serving. *)
 
 val database : t -> Bioseq.Database.t
 val root : t -> node

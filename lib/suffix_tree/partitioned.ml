@@ -34,6 +34,6 @@ let partitions ~prefix_len db =
 let build ?(prefix_len = 1) db =
   let t = Tree.create db in
   let buckets, short = partitions ~prefix_len db in
-  Array.iter (fun bucket -> List.iter (Tree.insert_suffix_naive t) bucket) buckets;
-  List.iter (Tree.insert_suffix_naive t) short;
+  Array.iter (fun bucket -> List.iter (Ukkonen.insert_suffix_naive t) bucket) buckets;
+  List.iter (Ukkonen.insert_suffix_naive t) short;
   t

@@ -183,45 +183,6 @@ let suffix_stop t pos =
   let rec find i = if Bytes.get data i = term then i + 1 else find (i + 1) in
   find pos
 
-let insert_suffix_naive t pos =
-  let data = data t in
-  let stop = suffix_stop t pos in
-  (* Walk from the root matching data[pos..stop); [i] is the global
-     index of the next unmatched suffix symbol. *)
-  let rec walk node i =
-    if i >= stop then
-      (* Whole suffix matched: [node] must be a leaf with the same path;
-         record the extra occurrence. *)
-      node.Node.positions <- pos :: node.Node.positions
-    else
-      match Node.find_child ~data node (Char.code (Bytes.get data i)) with
-      | None -> Node.add_child node (Node.make_leaf ~start:i ~stop ~position:pos)
-      | Some child ->
-        let cstart, cstop = label child in
-        let rec consume j =
-          (* [j] symbols of the edge matched so far. *)
-          if cstart + j >= cstop then walk child (i + j)
-          else if i + j >= stop then begin
-            (* Suffix exhausted mid-edge: impossible for terminator-ended
-               suffixes unless the edge continues past a terminator. *)
-            assert false
-          end
-          else if Bytes.get data (cstart + j) = Bytes.get data (i + j) then
-            consume (j + 1)
-          else begin
-            (* Mismatch at edge offset [j]: split. *)
-            let split = Node.make_internal ~start:cstart ~stop:(cstart + j) in
-            Node.replace_child node ~old_child:child ~new_child:split;
-            child.Node.start <- cstart + j;
-            Node.add_child split child;
-            Node.add_child split
-              (Node.make_leaf ~start:(i + j) ~stop ~position:pos)
-          end
-        in
-        consume 0
-  in
-  walk t.root pos
-
 let validate t =
   let db = t.db in
   let data = data t in

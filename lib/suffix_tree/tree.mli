@@ -91,9 +91,3 @@ val with_database : t -> Bioseq.Database.t -> t
     every existing edge label and leaf position keeps its meaning. Used
     by incremental construction ({!Ukkonen.extend}); the old handle must
     not be used afterwards, since both share the mutable nodes. *)
-
-val insert_suffix_naive : t -> int -> unit
-(** [insert_suffix_naive t pos] inserts the suffix starting at global
-    position [pos] (running to its sequence's terminator) by walking
-    from the root — O(suffix length). Duplicate suffixes append [pos] to
-    the existing leaf. *)

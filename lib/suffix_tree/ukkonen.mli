@@ -6,7 +6,57 @@
     sequence that already exist verbatim in the tree remain implicit at
     the end of that sequence's pass; they are resolved by appending
     their start positions to the existing leaves, so every database
-    suffix is represented exactly once. *)
+    suffix is represented exactly once.
+
+    The construction is written once, as {!Make}, over a small
+    node-store signature. {!build} and {!extend} run it over {!Node}
+    records; {!Packed.build} runs the same loop over flat [int] arrays
+    and packs the result without ever allocating the pointer tree. *)
+
+(** What the construction needs from a node store. Children form a
+    singly-linked sibling list: [add_child] prepends, [replace_child]
+    substitutes in place, so two stores fed the same calls end with the
+    same sibling order. *)
+module type STORE = sig
+  type t
+  type node
+
+  val database : t -> Bioseq.Database.t
+  val root : t -> node
+
+  val find_child : t -> data:bytes -> node -> int -> node option
+  (** The child whose edge label begins with symbol code [code] ([data]
+      is the database's symbol buffer). *)
+
+  val add_child : t -> node -> node -> unit
+  (** Prepend a child to the parent's sibling list. *)
+
+  val replace_child : t -> node -> old_child:node -> new_child:node -> unit
+  (** Put [new_child] in [old_child]'s place in the sibling list. *)
+
+  val make_leaf : t -> start:int -> stop:int -> position:int -> node
+  val make_internal : t -> start:int -> stop:int -> node
+
+  val start : t -> node -> int
+  (** Global start of the node's incoming edge label. *)
+
+  val stop : t -> node -> int
+  (** One past the label's last symbol. *)
+
+  val set_start : t -> node -> int -> unit
+  val suffix_link : t -> node -> node option
+  val set_suffix_link : t -> node -> node -> unit
+
+  val add_position : t -> node -> int -> unit
+  (** Record one more suffix occurrence on a leaf (it then lists it
+      first). *)
+end
+
+module Make (S : STORE) : sig
+  val build_sequence : S.t -> int -> unit
+  (** Run Ukkonen's phases for one sequence (by index in the store's
+      database) into the store. Sequences must be added in order. *)
+end
 
 val build : Bioseq.Database.t -> Tree.t
 (** O(total database length) expected; worst case adds the cost of the
@@ -19,3 +69,11 @@ val extend : Tree.t -> Bioseq.Database.t -> Tree.t
     tree. Cost is proportional to the added length only. The input
     [tree] shares nodes with the result and must not be used
     afterwards. *)
+
+val insert_suffix_naive : Tree.t -> int -> unit
+(** [insert_suffix_naive t pos] inserts the suffix starting at global
+    position [pos] (running to its sequence's terminator) by walking
+    from the root — O(suffix length). A duplicate suffix adds [pos] to
+    the existing leaf. {!Make} resolves a sequence's leftover implicit
+    suffixes this way; the prefix-partitioned and external builders
+    insert every suffix this way. *)

@@ -444,18 +444,19 @@ let wire_search ?max_hits ?max_columns ?(seed_cutoff = false)
     seed_cutoff;
   }
 
-(* Reference stream straight from the engine, in wire shape. *)
+(* The oracle's stream ({!Oasis.Reference} over the pointer tree), in
+   wire shape. *)
 let reference_stream db tree ~min_score =
   let query = seq daemon_query in
   let config =
     Oasis.Engine.config ~matrix:unit_matrix ~gap:(Scoring.Gap.linear 2)
       ~min_score ()
   in
-  let engine = Oasis.Engine.Mem.create ~source:tree ~db ~query config in
+  let engine = Oasis.Reference.Mem.create ~source:tree ~db ~query config in
   List.map
     (fun (i, s, qs, ts) ->
       (i, s, qs, ts, Bioseq.Sequence.id (Bioseq.Database.seq db i)))
-    (stream_of_engine Oasis.Engine.Mem.next engine)
+    (stream_of_engine Oasis.Reference.Mem.next engine)
 
 let collect_search ?stop_after ~path req =
   let hits = ref [] in
@@ -484,18 +485,26 @@ let wait_for_daemon path =
   in
   go ()
 
-let with_daemon ~name ~workers ~queue_depth ?(allow_sleep = false) f =
+(* The daemon serves what [oasis serve --db] builds: one
+   [Packed.build] image shared by every worker ([~adapter:true] instead
+   runs the [Backend.mem ~tree] adapter). [tree] is the pointer tree
+   the oracle reads. *)
+let with_daemon ~name ~workers ~queue_depth ?(allow_sleep = false)
+    ?(adapter = false) f =
   let db = db_of_strings daemon_db_strings in
   let tree = Suffix_tree.Ukkonen.build db in
+  let make_worker =
+    if adapter then fun _ -> Serve.Backend.mem ~tree ~db ()
+    else
+      let image = Suffix_tree.Packed.build db in
+      fun _ -> Serve.Backend.packed ~image ~db ()
+  in
   let path = sock_path name in
   let cfg =
     Serve.Server.config ~workers ~queue_depth ~allow_sleep ~alphabet:alpha
       ~socket_path:path ()
   in
-  let server =
-    Serve.Server.create cfg ~make_worker:(fun _ ->
-        Serve.Backend.mem ~tree ~db ())
-  in
+  let server = Serve.Server.create cfg ~make_worker in
   let d = Domain.spawn (fun () -> Serve.Server.run server) in
   Fun.protect
     ~finally:(fun () ->
@@ -509,18 +518,18 @@ let with_daemon ~name ~workers ~queue_depth ?(allow_sleep = false) f =
 let wire_hits = Alcotest.(list (pair (pair int int) (pair int string)))
 let pack_wire = List.map (fun (a, b, c, _d, e) -> ((a, b), (c, e)))
 
-let test_daemon_streams_and_budget () =
-  with_daemon ~name:"basic" ~workers:2 ~queue_depth:4
+let test_daemon_streams_and_budget ?adapter name () =
+  with_daemon ~name ~workers:2 ~queue_depth:4 ?adapter
     (fun ~path ~db ~tree ->
       let reference = reference_stream db tree ~min_score:6 in
-      (* Sequential client: bit-identical to the engine. *)
+      (* Sequential client: bit-identical to the oracle. *)
       let hits, result = collect_search ~path (wire_search ()) in
       (match result with
       | Serve.Client.Finished { outcome = Serve.Protocol.Complete; hits = n; _ }
         ->
         Alcotest.(check int) "hit count" (List.length reference) n
       | _ -> Alcotest.fail "expected a Complete finish");
-      Alcotest.check wire_hits "daemon stream = engine stream"
+      Alcotest.check wire_hits "daemon stream = reference stream"
         (pack_wire reference) (pack_wire hits);
       (* Budget-capped: stream is a prefix; exhaustion is typed. *)
       let bhits, bresult =
@@ -557,8 +566,13 @@ let test_daemon_streams_and_budget () =
    seeded request is a typed Bad_request, not a wrong stream. *)
 let test_daemon_seed_cutoff () =
   with_daemon ~name:"seed" ~workers:1 ~queue_depth:2
-    (fun ~path ~db:_ ~tree:_ ->
+    (fun ~path ~db ~tree ->
       let plain, _ = collect_search ~path (wire_search ~max_hits:3 ()) in
+      Alcotest.check wire_hits "capped stream = reference prefix"
+        (pack_wire
+           (List.filteri (fun i _ -> i < 3)
+              (reference_stream db tree ~min_score:6)))
+        (pack_wire plain);
       let seeded, result =
         collect_search ~path (wire_search ~max_hits:3 ~seed_cutoff:true ())
       in
@@ -587,7 +601,7 @@ let test_daemon_concurrent_clients () =
           | Serve.Client.Finished { outcome = Serve.Protocol.Complete; _ } -> ()
           | _ -> Alcotest.failf "client %d did not finish Complete" i);
           Alcotest.check wire_hits
-            (Printf.sprintf "client %d stream = engine stream" i)
+            (Printf.sprintf "client %d stream = reference stream" i)
             reference (pack_wire hits))
         clients)
 
@@ -659,11 +673,23 @@ let test_daemon_overload_reject () =
     (fun ~path ~db:_ ~tree:_ ->
       (* Saturate the single worker, then demand an immediate typed
          refusal — not a hang — for the next connection. *)
-      let sleeper =
-        Domain.spawn (fun () ->
-            Serve.Client.request ~path (Serve.Protocol.Sleep 2000))
-      in
       let deadline = Unix.gettimeofday () +. 8. in
+      (* A slot frees only after the server has sent its reply, so a
+         request can meet an Overloaded reject from the request before
+         it: retry those until admitted. *)
+      let rec admitted req =
+        match Serve.Client.request ~path req with
+        | Ok (Serve.Protocol.Reject (Serve.Protocol.Overloaded _))
+          when Unix.gettimeofday () < deadline ->
+          Unix.sleepf 0.01;
+          admitted req
+        | r -> r
+      in
+      (* The pokes below race the sleeper's connect: a Ping in flight
+         when the sleeper arrives fills the one slot. *)
+      let sleeper =
+        Domain.spawn (fun () -> admitted (Serve.Protocol.Sleep 2000))
+      in
       let rec poke () =
         match Serve.Client.request ~path Serve.Protocol.Ping with
         | Ok (Serve.Protocol.Reject (Serve.Protocol.Overloaded { in_flight; capacity }))
@@ -680,13 +706,13 @@ let test_daemon_overload_reject () =
       | Ok Serve.Protocol.Pong -> ()
       | _ -> Alcotest.fail "sleeper did not complete");
       (* Capacity freed: requests are admitted again. *)
-      match Serve.Client.request ~path Serve.Protocol.Ping with
+      match admitted Serve.Protocol.Ping with
       | Ok Serve.Protocol.Pong -> ()
       | _ -> Alcotest.fail "daemon did not recover after overload")
 
 let test_daemon_shutdown_verb () =
   let db = db_of_strings daemon_db_strings in
-  let tree = Suffix_tree.Ukkonen.build db in
+  let image = Suffix_tree.Packed.build db in
   let path = sock_path "shut" in
   let cfg =
     Serve.Server.config ~workers:1 ~queue_depth:2 ~alphabet:alpha
@@ -694,7 +720,7 @@ let test_daemon_shutdown_verb () =
   in
   let server =
     Serve.Server.create cfg ~make_worker:(fun _ ->
-        Serve.Backend.mem ~tree ~db ())
+        Serve.Backend.packed ~image ~db ())
   in
   let d = Domain.spawn (fun () -> Serve.Server.run server) in
   wait_for_daemon path;
@@ -734,7 +760,10 @@ let () =
       ( "daemon",
         [
           Alcotest.test_case "streams, budgets, hit caps" `Quick
-            test_daemon_streams_and_budget;
+            (test_daemon_streams_and_budget "basic");
+          Alcotest.test_case "Backend.mem adapter: streams, budgets, hit caps"
+            `Quick
+            (test_daemon_streams_and_budget ~adapter:true "adapter");
           Alcotest.test_case "seed-cutoff: same stream, typed reject" `Quick
             test_daemon_seed_cutoff;
           Alcotest.test_case "4 concurrent clients, identical streams" `Quick

@@ -276,6 +276,139 @@ let qcheck_partition_cover =
       in
       all = List.init (Bioseq.Database.data_length db) Fun.id)
 
+(* --- Packed.build: the flat-store Ukkonen must pack the same image as
+   packing the pointer tree --- *)
+
+(* Both images are compared through the public accessors only, handle
+   by handle: ids are assigned in the same preorder, so equal images
+   have equal labels, child runs and position slices at every index.
+   No recursion, so a path-shaped tree is as cheap to check as any;
+   [~subtree_positions:false] skips the internal nodes' position slices,
+   whose total size is quadratic in a path-shaped tree's depth. *)
+let packed_diff ?(subtree_positions = true) (a : Suffix_tree.Packed.t)
+    (b : Suffix_tree.Packed.t) =
+  let module P = Suffix_tree.Packed in
+  let children p n =
+    let acc = ref [] in
+    P.gather_children p n (fun c ~start ~stop ~sym ->
+        acc := (c, start, stop, sym) :: !acc);
+    List.rev !acc
+  in
+  let positions p n =
+    let acc = ref [] in
+    P.iter_positions p n (fun q -> acc := q :: !acc);
+    List.rev !acc
+  in
+  let node n =
+    if P.label_start a n <> P.label_start b n || P.label_stop a n <> P.label_stop b n
+    then Some (Printf.sprintf "label of node %d" n)
+    else if children a n <> children b n then
+      Some (Printf.sprintf "children of node %d" n)
+    else if
+      (subtree_positions || P.is_leaf n) && positions a n <> positions b n
+    then
+      Some (Printf.sprintf "positions below node %d" n)
+    else None
+  in
+  if P.internal_nodes a <> P.internal_nodes b then
+    Some
+      (Printf.sprintf "internal nodes %d vs %d" (P.internal_nodes a)
+         (P.internal_nodes b))
+  else if P.leaves a <> P.leaves b then
+    Some (Printf.sprintf "leaves %d vs %d" (P.leaves a) (P.leaves b))
+  else
+    let rec internal i =
+      if i >= P.internal_nodes a then leaf 0
+      else match node i with None -> internal (i + 1) | d -> d
+    and leaf l =
+      if l >= P.leaves a then None
+      else match node (lnot l) with None -> leaf (l + 1) | d -> d
+    in
+    internal 0
+
+let check_direct_build ?subtree_positions db =
+  let direct = Suffix_tree.Packed.build db in
+  let via_tree = Suffix_tree.Packed.of_tree (Suffix_tree.Ukkonen.build db) in
+  packed_diff ?subtree_positions direct via_tree
+
+let direct_build_property ~name ~count gen print =
+  QCheck.Test.make ~count ~name (QCheck.make gen ~print) (fun db ->
+      match check_direct_build db with
+      | None -> true
+      | Some d -> QCheck.Test.fail_reportf "Packed.build differs: %s" d)
+
+let db_of alphabet strings =
+  Bioseq.Database.make
+    (List.mapi
+       (fun i s ->
+         Bioseq.Sequence.make ~alphabet ~id:(Printf.sprintf "s%d" i) s)
+       strings)
+
+let print_db db =
+  String.concat "/"
+    (List.init (Bioseq.Database.num_sequences db) (fun i ->
+         Bioseq.Sequence.to_string (Bioseq.Database.seq db i)))
+
+(* Sequences over [letters], some of them repeated whole or as a
+   suffix of an earlier one, so the duplicate-suffix walk
+   (insert_suffix_naive) runs on most inputs. *)
+let repeats_gen alphabet letters =
+  QCheck.Gen.(
+    let seq = string_size ~gen:(oneofl letters) (int_range 1 30) in
+    let* base = list_size (int_range 1 5) seq in
+    let* copies =
+      list_size (int_range 0 4)
+        (let* s = oneofl base in
+         let* cut = int_bound (String.length s - 1) in
+         oneofl [ s; String.sub s cut (String.length s - cut) ])
+    in
+    let* strings = shuffle_l (base @ copies) in
+    return (db_of alphabet strings))
+
+let qcheck_direct_build_dna =
+  direct_build_property ~name:"Packed.build = of_tree (Ukkonen.build), DNA"
+    ~count:300
+    (repeats_gen Bioseq.Alphabet.dna [ 'A'; 'C'; 'G'; 'T' ])
+    print_db
+
+let qcheck_direct_build_protein =
+  direct_build_property ~name:"Packed.build = of_tree (Ukkonen.build), protein"
+    ~count:200
+    (repeats_gen Bioseq.Alphabet.protein
+       [ 'A'; 'C'; 'D'; 'E'; 'K'; 'L'; 'M'; 'W' ])
+    print_db
+
+let qcheck_direct_build_one_sequence =
+  direct_build_property
+    ~name:"Packed.build = of_tree (Ukkonen.build), one sequence" ~count:200
+    QCheck.Gen.(
+      map
+        (fun s -> db_of Bioseq.Alphabet.dna [ s ])
+        (string_size ~gen:(oneofl [ 'A'; 'C' ]) (int_range 1 60)))
+    print_db
+
+let check_no_diff what = function
+  | None -> ()
+  | Some d -> Alcotest.failf "%s: Packed.build differs: %s" what d
+
+let test_direct_build_protein_db () =
+  let rng = Workload.Rng.create ~seed:7 in
+  let db = Workload.Generate.protein_database rng ~target_symbols:20_000 () in
+  check_no_diff "generated protein database" (check_direct_build db)
+
+(* One 100K-symbol run of a single letter: the tree is a path as deep
+   as the sequence, which both builders and the packing pass must
+   handle with explicit stacks. *)
+let test_direct_build_deep () =
+  let db =
+    db_of Bioseq.Alphabet.dna [ String.make 100_000 'A'; String.make 50 'A' ]
+  in
+  check_no_diff "single-symbol run"
+    (check_direct_build ~subtree_positions:false db);
+  let p = Suffix_tree.Packed.build db in
+  Alcotest.(check int) "one leaf per distinct suffix" 100_001
+    (Suffix_tree.Packed.leaves p)
+
 let () =
   Alcotest.run "suffix_tree"
     [
@@ -290,6 +423,10 @@ let () =
           Alcotest.test_case "incremental extend" `Quick test_extend_matches_batch;
           Alcotest.test_case "extend rejects non-extension" `Quick
             test_extend_rejects_non_extension;
+          Alcotest.test_case "direct packed build, protein database" `Quick
+            test_direct_build_protein_db;
+          Alcotest.test_case "direct packed build, 100K single-symbol run"
+            `Quick test_direct_build_deep;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
@@ -301,5 +438,8 @@ let () =
             qcheck_extend_equals_batch;
             qcheck_mccreight_valid;
             qcheck_mccreight_vs_ukkonen;
+            qcheck_direct_build_dna;
+            qcheck_direct_build_protein;
+            qcheck_direct_build_one_sequence;
           ] );
     ]

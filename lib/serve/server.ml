@@ -102,6 +102,26 @@ let send fd resp = Protocol.write_frame fd (Protocol.encode_response resp)
 let send_final fd resp =
   try send fd resp with Unix.Unix_error _ | Invalid_argument _ -> ()
 
+(* An admitted connection. Its admission slot goes back as the final
+   frame goes out, not when the task ends: a client that reads its
+   reply and at once connects again must find the daemon idle. The
+   pool task that still holds a worker only has the close left, and a
+   newly admitted task waits in the pool queue for it. *)
+type conn = { fd : Unix.file_descr; mutable admitted : bool }
+
+let release t c =
+  locked t (fun () ->
+      if c.admitted then begin
+        c.admitted <- false;
+        t.in_flight <- t.in_flight - 1;
+        Obs.Metric.set t.in_flight_gauge t.in_flight
+      end)
+
+(* The last frame of an admitted connection. *)
+let reply t c resp =
+  release t c;
+  send_final c.fd resp
+
 let wire_outcome = function
   | Oasis.Engine.Complete -> Protocol.Complete
   | Oasis.Engine.Exhausted { remaining_bound } ->
@@ -111,11 +131,11 @@ let wire_outcome = function
        stream; the client knows its cap was the reason. *)
     Protocol.Complete
 
-let serve_search t (worker : Backend.worker) fd (s : Protocol.search) =
+let serve_search t (worker : Backend.worker) c (s : Protocol.search) =
   match Backend.parse ~alphabet:t.cfg.alphabet s with
   | Error msg ->
     tick t t.bad_request;
-    send_final fd (Protocol.Reject (Protocol.Bad_request msg))
+    reply t c (Protocol.Reject (Protocol.Bad_request msg))
   | Ok (query, config, max_hits, seed) ->
     let t0 = Unix.gettimeofday () in
     let stream = worker.search ~query ~config ~seed in
@@ -128,7 +148,7 @@ let serve_search t (worker : Backend.worker) fd (s : Protocol.search) =
          match stream.next () with
          | None -> raise Exit
          | Some h ->
-           send fd
+           send c.fd
              (Protocol.Hit
                 {
                   seq_index = h.Oasis.Hit.seq_index;
@@ -151,51 +171,52 @@ let serve_search t (worker : Backend.worker) fd (s : Protocol.search) =
     if !disconnected then tick t t.disconnects
     else begin
       let outcome = wire_outcome (stream.outcome ()) in
-      send_final fd
+      reply t c
         (Protocol.Done { outcome; hits = !hits; wall_us = us_since t0 });
       tick t t.completed
     end
 
-let serve_request t worker fd = function
-  | Protocol.Search s -> serve_search t worker fd s
+let serve_request t worker c = function
+  | Protocol.Search s -> serve_search t worker c s
   | Protocol.Ping ->
-    send_final fd Protocol.Pong;
+    reply t c Protocol.Pong;
     tick t t.completed
   | Protocol.Stats ->
-    send_final fd (Protocol.Stats_reply (stats_pairs t));
+    reply t c (Protocol.Stats_reply (stats_pairs t));
     tick t t.completed
   | Protocol.Sleep ms ->
     if t.cfg.allow_sleep then begin
       Unix.sleepf (float_of_int ms /. 1000.);
-      send_final fd Protocol.Pong;
+      reply t c Protocol.Pong;
       tick t t.completed
     end
     else begin
       tick t t.bad_request;
-      send_final fd
+      reply t c
         (Protocol.Reject (Protocol.Bad_request "sleep verb is disabled"))
     end
   | Protocol.Shutdown ->
     stop t;
-    send_final fd Protocol.Pong;
+    reply t c Protocol.Pong;
     tick t t.completed
 
-let handle_conn t worker fd ~accepted_at =
+let handle_conn t worker c ~accepted_at =
   locked t (fun () -> Obs.Metric.observe t.queue_wait_us (us_since accepted_at));
-  Unix.setsockopt_float fd Unix.SO_RCVTIMEO t.cfg.recv_timeout;
-  Unix.setsockopt_float fd Unix.SO_SNDTIMEO 30.;
-  (match Protocol.read_request (Protocol.reader_of_fd fd) with
+  Unix.setsockopt_float c.fd Unix.SO_RCVTIMEO t.cfg.recv_timeout;
+  Unix.setsockopt_float c.fd Unix.SO_SNDTIMEO 30.;
+  (match Protocol.read_request (Protocol.reader_of_fd c.fd) with
   | Error Protocol.Closed -> tick t t.disconnects
   | Error e ->
     tick t t.bad_request;
-    send_final fd (Protocol.Reject (Protocol.Bad_request (Protocol.error_to_string e)))
-  | Ok req -> serve_request t worker fd req);
+    reply t c (Protocol.Reject (Protocol.Bad_request (Protocol.error_to_string e)))
+  | Ok req -> serve_request t worker c req);
   locked t (fun () -> Obs.Metric.observe t.latency_us (us_since accepted_at))
 
 (* One pool task per admitted connection. At most [workers] tasks run
    concurrently (that is the pool's size), so the free-slot stack can
    never be empty when a task starts. *)
 let conn_task t fd accepted_at () =
+  let c = { fd; admitted = true } in
   let worker =
     locked t (fun () ->
         match t.slots with
@@ -206,16 +227,14 @@ let conn_task t fd accepted_at () =
   in
   Fun.protect
     ~finally:(fun () ->
-      locked t (fun () ->
-          t.slots <- worker :: t.slots;
-          t.in_flight <- t.in_flight - 1;
-          Obs.Metric.set t.in_flight_gauge t.in_flight);
+      release t c;
+      locked t (fun () -> t.slots <- worker :: t.slots);
       try Unix.close fd with Unix.Unix_error _ -> ())
     (fun () ->
-      try handle_conn t worker fd ~accepted_at
+      try handle_conn t worker c ~accepted_at
       with e ->
         tick t t.errors;
-        send_final fd
+        reply t c
           (Protocol.Reject (Protocol.Server_error (Printexc.to_string e))))
 
 let unlink_quiet path = try Unix.unlink path with Unix.Unix_error _ -> ()

@@ -5,7 +5,9 @@
     happens {e at accept time}, under one mutex: at most [workers +
     queue_depth] connections are in flight, and anything beyond that is
     answered immediately with a typed [Overloaded] reject — an
-    overloaded daemon fails fast instead of hanging clients.
+    overloaded daemon fails fast instead of hanging clients. A
+    connection leaves the count as its last frame is sent, so a client
+    that sends requests one after another is never refused.
 
     Admitted connections become tasks on an {!Oasis.Domain_pool} of
     [workers] domains. Each running task borrows one {!Backend.worker}

@@ -223,143 +223,11 @@ let of_tree tree =
   Pack_tree.pack (Tree.database tree) tree ~internal:!ni ~leaves:!nl
     ~positions:!np
 
-(* The flat construction store: one [int] per node per field, node [0]
-   the root, [-1] for "none". A leaf never carries a suffix link, so its
-   [link] slot holds its most recently recorded position instead; the
-   rest of its positions chain through [pos_next], which is indexed by
-   position (every database position is recorded on exactly one
-   leaf). *)
-module Flat = struct
-  type t = {
-    db : Bioseq.Database.t;
-    mutable start : int array;
-    mutable stop : int array;
-    mutable first_child : int array;
-    mutable next_sibling : int array;
-    mutable link : int array;
-    pos_next : int array;
-    mutable nodes : int;
-    mutable leaves : int;
-  }
-
-  type node = int
-
-  let create db =
-    let n = Bioseq.Database.data_length db in
-    (* A suffix tree has at most 2n nodes, but real inputs fill fewer
-       (about 1.3n for protein, 1.6n for DNA): start at 1.5n and grow
-       by half when that runs out. *)
-    let cap = max 16 (n + (n / 2)) in
-    let t =
-      {
-        db;
-        start = Array.make cap 0;
-        stop = Array.make cap 0;
-        first_child = Array.make cap (-1);
-        next_sibling = Array.make cap (-1);
-        link = Array.make cap (-1);
-        pos_next = Array.make (max n 1) (-1);
-        nodes = 1;
-        leaves = 0;
-      }
-    in
-    t.start.(0) <- -1;
-    t
-
-  let grow t =
-    let cap = Array.length t.start in
-    let cap' = cap + (cap / 2) in
-    let extend a fill =
-      let a' = Array.make cap' fill in
-      Array.blit a 0 a' 0 cap;
-      a'
-    in
-    t.start <- extend t.start 0;
-    t.stop <- extend t.stop 0;
-    t.first_child <- extend t.first_child (-1);
-    t.next_sibling <- extend t.next_sibling (-1);
-    t.link <- extend t.link (-1)
-
-  let alloc t ~start ~stop =
-    if t.nodes = Array.length t.start then grow t;
-    let n = t.nodes in
-    t.nodes <- n + 1;
-    t.start.(n) <- start;
-    t.stop.(n) <- stop;
-    n
-
-  let database t = t.db
-  let root _ = 0
-  let is_leaf t n = n > 0 && t.first_child.(n) < 0
-
-  let find_child t ~data n code =
-    let rec scan c =
-      if c < 0 then None
-      else if Char.code (Bytes.unsafe_get data t.start.(c)) = code then Some c
-      else scan t.next_sibling.(c)
-    in
-    scan t.first_child.(n)
-
-  let add_child t parent child =
-    t.next_sibling.(child) <- t.first_child.(parent);
-    t.first_child.(parent) <- child
-
-  let replace_child t parent ~old_child ~new_child =
-    let rec scan prev c =
-      if c < 0 then invalid_arg "Packed.Flat.replace_child: not a child"
-      else if c = old_child then begin
-        t.next_sibling.(new_child) <- t.next_sibling.(c);
-        t.next_sibling.(c) <- -1;
-        if prev < 0 then t.first_child.(parent) <- new_child
-        else t.next_sibling.(prev) <- new_child
-      end
-      else scan c t.next_sibling.(c)
-    in
-    scan (-1) t.first_child.(parent)
-
-  let make_leaf t ~start ~stop ~position =
-    let n = alloc t ~start ~stop in
-    t.leaves <- t.leaves + 1;
-    t.link.(n) <- position;
-    n
-
-  let make_internal t ~start ~stop = alloc t ~start ~stop
-  let start t n = t.start.(n)
-  let stop t n = t.stop.(n)
-  let set_start t n v = t.start.(n) <- v
-
-  let suffix_link t n =
-    let l = t.link.(n) in
-    if l < 0 then None else Some l
-
-  let set_suffix_link t n target = t.link.(n) <- target
-
-  let add_position t n pos =
-    t.pos_next.(pos) <- t.link.(n);
-    t.link.(n) <- pos
-
-  let iter_children t n f =
-    let c = ref t.first_child.(n) in
-    while !c >= 0 do
-      f !c;
-      c := t.next_sibling.(!c)
-    done
-
-  let iter_positions t n f =
-    let q = ref t.link.(n) in
-    while !q >= 0 do
-      f !q;
-      q := t.pos_next.(!q)
-    done
-end
-
-module Flat_build = Ukkonen.Make (Flat)
 module Pack_flat = Pack (Flat)
 
 let build db =
-  let s = Flat.create db in
-  for i = 0 to Bioseq.Database.num_sequences db - 1 do
-    Flat_build.build_sequence s i
-  done;
-  Pack_flat.pack db s ~internal:(s.nodes - s.leaves) ~leaves:s.leaves
+  let s = Ukkonen.build_flat db in
+  Pack_flat.pack db s
+    ~internal:(Flat.nodes s - Flat.leaves s)
+    ~leaves:(Flat.leaves s)
     ~positions:(Bioseq.Database.data_length db)

@@ -36,14 +36,13 @@ val of_tree : Tree.t -> t
 
 val build : Bioseq.Database.t -> t
 (** Build the packing straight from [db], without the pointer tree:
-    {!Ukkonen.Make} runs over flat [int] arrays (start, stop, first
-    child, next sibling, suffix link, and a position chain, sized from
-    1.5 nodes per symbol and grown by half as needed), which one
-    preorder pass then packs. The result is identical, array for array,
-    to [of_tree (Ukkonen.build db)] — same sibling order, same handles —
-    so engine hit streams are too. The construction arrays are garbage
-    once [build] returns; a long-lived caller that cares about its peak
-    heap collects them ([Gc.full_major]) before serving. *)
+    {!Ukkonen.build_flat} runs the construction over the flat [int]
+    arrays of {!Flat}, which one preorder pass then packs. The result
+    is identical, array for array, to [of_tree (Ukkonen.build db)] —
+    same sibling order, same handles — so engine hit streams are too.
+    The construction arrays are garbage once [build] returns; a
+    long-lived caller that cares about its peak heap collects them
+    ([Gc.full_major]) before serving. *)
 
 val database : t -> Bioseq.Database.t
 val root : t -> node

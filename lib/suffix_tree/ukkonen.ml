@@ -68,11 +68,20 @@ module Make (S : STORE) = struct
     in
     walk (S.root t) pos
 
+  (* Set the pending suffix link of the internal node made by the
+     previous extension of this phase, if any. *)
+  let set_pending_link t pending target =
+    match pending with Some n -> S.set_suffix_link t n target | None -> ()
+
   (* Classic Ukkonen with the active-point formulation, run over one
      sequence region [seq_start, seq_stop) at a time ([seq_stop] is one
      past the terminator). Leaves are created with their final edge end
      ([seq_stop]-relative) immediately; during construction the
-     effective edge length is capped at the current phase position. *)
+     effective edge length is capped at the current phase position.
+
+     No local closure captures the active point or [last_new_node], so
+     they stay unboxed: a captured [ref] would be a heap cell whose
+     every node-valued write goes through the write barrier. *)
   let build_sequence t seq_index =
     let db = S.database t in
     let root = S.root t in
@@ -85,72 +94,74 @@ module Make (S : STORE) = struct
     let active_edge = ref 0 in
     let active_length = ref 0 in
     let remainder = ref 0 in
-    (* Advance to the next (shorter) suffix after a rule-2 extension. *)
-    let next_suffix pos =
-      decr remainder;
-      if !active_node == root && !active_length > 0 then begin
-        decr active_length;
-        active_edge := pos - !remainder + 1
-      end
-      else if not (!active_node == root) then
-        active_node :=
-          (match S.suffix_link t !active_node with
-          | Some link -> link
-          | None -> root)
-    in
+    let last_new_node = ref None in
     for pos = seq_start to seq_stop - 1 do
       let c = code pos in
       incr remainder;
-      let last_new_node = ref None in
-      let link_pending target =
-        (match !last_new_node with
-        | Some n -> S.set_suffix_link t n target
-        | None -> ());
-        last_new_node := None
-      in
+      last_new_node := None;
       let continue = ref true in
       while !continue && !remainder > 0 do
         if !active_length = 0 then active_edge := pos;
-        match S.find_child t ~data !active_node (code !active_edge) with
-        | None ->
-          (* Rule 2 from a node: new leaf child. *)
-          let position = pos - !remainder + 1 in
-          S.add_child t !active_node
-            (S.make_leaf t ~start:pos ~stop:seq_stop ~position);
-          link_pending !active_node;
-          next_suffix pos
-        | Some next ->
-          let next_start = S.start t next in
-          let edge_stop = min (S.stop t next) (pos + 1) in
-          let edge_len = edge_stop - next_start in
-          if !active_length >= edge_len then begin
-            (* Skip/count: walk down a full edge. *)
-            active_node := next;
-            active_edge := !active_edge + edge_len;
-            active_length := !active_length - edge_len
-          end
-          else if code (next_start + !active_length) = c then begin
-            (* Rule 3: the extension is already implicit; end the phase. *)
-            link_pending !active_node;
-            incr active_length;
-            continue := false
-          end
-          else begin
-            (* Rule 2 with split. *)
-            let split =
-              S.make_internal t ~start:next_start
-                ~stop:(next_start + !active_length)
-            in
-            S.replace_child t !active_node ~old_child:next ~new_child:split;
-            S.set_start t next (next_start + !active_length);
-            S.add_child t split next;
+        let rule2 =
+          match S.find_child t ~data !active_node (code !active_edge) with
+          | None ->
+            (* Rule 2 from a node: new leaf child. *)
             let position = pos - !remainder + 1 in
-            S.add_child t split
+            S.add_child t !active_node
               (S.make_leaf t ~start:pos ~stop:seq_stop ~position);
-            link_pending split;
-            last_new_node := Some split;
-            next_suffix pos
+            set_pending_link t !last_new_node !active_node;
+            last_new_node := None;
+            true
+          | Some next ->
+            let next_start = S.start t next in
+            let edge_stop = min (S.stop t next) (pos + 1) in
+            let edge_len = edge_stop - next_start in
+            if !active_length >= edge_len then begin
+              (* Skip/count: walk down a full edge. *)
+              active_node := next;
+              active_edge := !active_edge + edge_len;
+              active_length := !active_length - edge_len;
+              false
+            end
+            else if code (next_start + !active_length) = c then begin
+              (* Rule 3: the extension is already implicit; end the
+                 phase. *)
+              set_pending_link t !last_new_node !active_node;
+              last_new_node := None;
+              incr active_length;
+              continue := false;
+              false
+            end
+            else begin
+              (* Rule 2 with split. *)
+              let split =
+                S.make_internal t ~start:next_start
+                  ~stop:(next_start + !active_length)
+              in
+              S.replace_child t !active_node ~old_child:next ~new_child:split;
+              S.set_start t next (next_start + !active_length);
+              S.add_child t split next;
+              let position = pos - !remainder + 1 in
+              S.add_child t split
+                (S.make_leaf t ~start:pos ~stop:seq_stop ~position);
+              set_pending_link t !last_new_node split;
+              last_new_node := Some split;
+              true
+            end
+        in
+        if rule2 then begin
+          (* Advance to the next (shorter) suffix. *)
+          decr remainder;
+          if !active_node == root && !active_length > 0 then begin
+            decr active_length;
+            active_edge := pos - !remainder + 1
           end
+          else if not (!active_node == root) then
+            active_node :=
+              (match S.suffix_link t !active_node with
+              | Some link -> link
+              | None -> root)
+        end
       done
     done;
     (* Suffixes still implicit after the terminator phase are exact
@@ -186,14 +197,21 @@ module Pointer = Make (struct
   let add_position _ (n : node) pos = n.Node.positions <- pos :: n.Node.positions
 end)
 
+module Flat_build = Make (Flat)
+
 let insert_suffix_naive = Pointer.insert_suffix_naive
 
-let build db =
-  let t = Tree.create db in
+let build_flat db =
+  let s = Flat.create db in
   for i = 0 to Bioseq.Database.num_sequences db - 1 do
-    Pointer.build_sequence t i
+    Flat_build.build_sequence s i
   done;
-  t
+  s
+
+(* Built in the flat store and converted: the phase loop then runs
+   without allocating a heap record per node, and the conversion makes
+   each record once, in one pass. *)
+let build db = Flat.to_tree (build_flat db)
 
 let extend tree db =
   let old_n = Bioseq.Database.num_sequences (Tree.database tree) in

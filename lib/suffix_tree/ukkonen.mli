@@ -9,9 +9,11 @@
     suffix is represented exactly once.
 
     The construction is written once, as {!Make}, over a small
-    node-store signature. {!build} and {!extend} run it over {!Node}
-    records; {!Packed.build} runs the same loop over flat [int] arrays
-    and packs the result without ever allocating the pointer tree. *)
+    node-store signature, and instantiated twice. {!build} and
+    {!Packed.build} run it over the flat [int] arrays of {!Flat}, then
+    convert the result to {!Node} records or pack it; {!extend} and
+    {!insert_suffix_naive} run it over the records of an existing
+    {!Tree} ({!Pointer}). *)
 
 (** What the construction needs from a node store. Children form a
     singly-linked sibling list: [add_child] prepends, [replace_child]
@@ -58,9 +60,20 @@ module Make (S : STORE) : sig
       database) into the store. Sequences must be added in order. *)
 end
 
+module Pointer : sig
+  val build_sequence : Tree.t -> int -> unit
+end
+(** The construction over {!Node} records, in place in a {!Tree}: what
+    {!extend} runs. Running it for every sequence of [db] on
+    [Tree.create db] gives the same tree as {!build}. *)
+
+val build_flat : Bioseq.Database.t -> Flat.t
+(** The whole database built in the flat store. *)
+
 val build : Bioseq.Database.t -> Tree.t
 (** O(total database length) expected; worst case adds the cost of the
-    duplicate-suffix walks. *)
+    duplicate-suffix walks. Built by {!build_flat} and converted with
+    {!Flat.to_tree}. *)
 
 val extend : Tree.t -> Bioseq.Database.t -> Tree.t
 (** [extend tree db] incrementally indexes the sequences [db] adds on

@@ -126,7 +126,19 @@ echo "== overload reject (workers=1, queue-depth=0)"
   --allow-sleep > daemon2.log 2>&1 &
 DAEMON2_PID=$!
 wait_ready "$SOCK2" || { cat daemon2.log >&2; fail "saturation daemon did not come up"; }
-"$CLI" client sleep --socket "$SOCK2" --ms 5000 > sleeper.out &
+# The pings below race the sleeper's connect: a ping in flight when the
+# sleeper arrives fills the one slot and gets the sleeper refused, so
+# the sleeper retries an overload reject (exit 3) until it is admitted.
+sleeper() {
+  for _ in $(seq 1 50); do
+    "$CLI" client sleep --socket "$SOCK2" --ms 5000 > sleeper.out 2> sleeper.err \
+      && rc=0 || rc=$?
+    [ "$rc" -eq 3 ] || return "$rc"
+    sleep 0.05
+  done
+  return 3
+}
+sleeper &
 SLEEPER_PID=$!
 REJECTED=0
 for _ in $(seq 1 50); do

@@ -674,22 +674,18 @@ let test_daemon_overload_reject () =
       (* Saturate the single worker, then demand an immediate typed
          refusal — not a hang — for the next connection. *)
       let deadline = Unix.gettimeofday () +. 8. in
-      (* A slot frees only after the server has sent its reply, so a
-         request can meet an Overloaded reject from the request before
-         it: retry those until admitted. *)
-      let rec admitted req =
-        match Serve.Client.request ~path req with
+      (* The pokes below race the sleeper's connect: a Ping in flight
+         when the sleeper arrives fills the one slot, so the sleeper
+         retries an Overloaded reject until it is admitted. *)
+      let rec sleep () =
+        match Serve.Client.request ~path (Serve.Protocol.Sleep 2000) with
         | Ok (Serve.Protocol.Reject (Serve.Protocol.Overloaded _))
           when Unix.gettimeofday () < deadline ->
           Unix.sleepf 0.01;
-          admitted req
+          sleep ()
         | r -> r
       in
-      (* The pokes below race the sleeper's connect: a Ping in flight
-         when the sleeper arrives fills the one slot. *)
-      let sleeper =
-        Domain.spawn (fun () -> admitted (Serve.Protocol.Sleep 2000))
-      in
+      let sleeper = Domain.spawn sleep in
       let rec poke () =
         match Serve.Client.request ~path Serve.Protocol.Ping with
         | Ok (Serve.Protocol.Reject (Serve.Protocol.Overloaded { in_flight; capacity }))
@@ -706,9 +702,23 @@ let test_daemon_overload_reject () =
       | Ok Serve.Protocol.Pong -> ()
       | _ -> Alcotest.fail "sleeper did not complete");
       (* Capacity freed: requests are admitted again. *)
-      match admitted Serve.Protocol.Ping with
+      match Serve.Client.request ~path Serve.Protocol.Ping with
       | Ok Serve.Protocol.Pong -> ()
       | _ -> Alcotest.fail "daemon did not recover after overload")
+
+(* With capacity 1, a client that sends its next request as soon as it
+   reads a reply must find the slot free every time: the admission
+   slot goes back with the last frame, not after the close. *)
+let test_daemon_back_to_back () =
+  with_daemon ~name:"b2b" ~workers:1 ~queue_depth:0
+    (fun ~path ~db:_ ~tree:_ ->
+      for i = 1 to 300 do
+        match Serve.Client.request ~path Serve.Protocol.Ping with
+        | Ok Serve.Protocol.Pong -> ()
+        | Ok (Serve.Protocol.Reject (Serve.Protocol.Overloaded _)) ->
+          Alcotest.failf "request %d refused Overloaded by an idle daemon" i
+        | _ -> Alcotest.failf "request %d failed" i
+      done)
 
 let test_daemon_shutdown_verb () =
   let db = db_of_strings daemon_db_strings in
@@ -772,6 +782,8 @@ let () =
             test_daemon_disconnect_and_stats;
           Alcotest.test_case "typed overload reject" `Quick
             test_daemon_overload_reject;
+          Alcotest.test_case "back-to-back requests at capacity 1" `Quick
+            test_daemon_back_to_back;
           Alcotest.test_case "shutdown verb unlinks the socket" `Quick
             test_daemon_shutdown_verb;
         ] );

@@ -276,8 +276,70 @@ let qcheck_partition_cover =
       in
       all = List.init (Bioseq.Database.data_length db) Fun.id)
 
-(* --- Packed.build: the flat-store Ukkonen must pack the same image as
-   packing the pointer tree --- *)
+(* --- The flat store: Ukkonen.build (flat, converted) must equal the
+   pointer-store construction, and Packed.build must pack the same
+   image as packing that tree --- *)
+
+(* The pointer-store construction, as {!Ukkonen.extend} runs it. *)
+let pointer_build db =
+  let t = Suffix_tree.Tree.create db in
+  for i = 0 to Bioseq.Database.num_sequences db - 1 do
+    Suffix_tree.Ukkonen.Pointer.build_sequence t i
+  done;
+  t
+
+module Phys = Hashtbl.Make (struct
+  type t = Suffix_tree.Node.t
+
+  let equal = ( == )
+  let hash = Hashtbl.hash
+end)
+
+(* Walk both trees in lockstep, preorder in sibling order, comparing
+   labels and position lists and pairing up the nodes; then check that
+   paired nodes' suffix links point at paired nodes. Explicit stack, so
+   path-shaped trees are fine. *)
+let tree_diff (a : Suffix_tree.Tree.t) (b : Suffix_tree.Tree.t) =
+  let module N = Suffix_tree.Node in
+  let partner = Phys.create 1024 in
+  let pairs = ref [] in
+  let stack = ref [ (Suffix_tree.Tree.root a, Suffix_tree.Tree.root b) ] in
+  let diff = ref None in
+  while !diff = None && !stack <> [] do
+    match !stack with
+    | [] -> ()
+    | ((x : N.t), (y : N.t)) :: rest ->
+      stack := rest;
+      Phys.replace partner x y;
+      pairs := (x, y) :: !pairs;
+      let cx = N.children x and cy = N.children y in
+      if x.N.start <> y.N.start || x.N.stop <> y.N.stop then
+        diff :=
+          Some
+            (Printf.sprintf "label [%d,%d) vs [%d,%d)" x.N.start x.N.stop
+               y.N.start y.N.stop)
+      else if x.N.positions <> y.N.positions then
+        diff := Some (Printf.sprintf "positions of [%d,%d)" x.N.start x.N.stop)
+      else if List.length cx <> List.length cy then
+        diff := Some (Printf.sprintf "child count of [%d,%d)" x.N.start x.N.stop)
+      else stack := List.combine cx cy @ !stack
+  done;
+  match !diff with
+  | Some _ as d -> d
+  | None ->
+    List.find_map
+      (fun ((x : N.t), (y : N.t)) ->
+        match (x.N.suffix_link, y.N.suffix_link) with
+        | None, None -> None
+        | Some lx, Some ly -> (
+          match Phys.find_opt partner lx with
+          | Some p when p == ly -> None
+          | _ ->
+            Some (Printf.sprintf "suffix link of [%d,%d)" x.N.start x.N.stop))
+        | _ ->
+          Some
+            (Printf.sprintf "suffix link presence at [%d,%d)" x.N.start x.N.stop))
+      !pairs
 
 (* Both images are compared through the public accessors only, handle
    by handle: ids are assigned in the same preorder, so equal images
@@ -327,15 +389,19 @@ let packed_diff ?(subtree_positions = true) (a : Suffix_tree.Packed.t)
     internal 0
 
 let check_direct_build ?subtree_positions db =
-  let direct = Suffix_tree.Packed.build db in
-  let via_tree = Suffix_tree.Packed.of_tree (Suffix_tree.Ukkonen.build db) in
-  packed_diff ?subtree_positions direct via_tree
+  let tree = Suffix_tree.Ukkonen.build db in
+  match tree_diff tree (pointer_build db) with
+  | Some d -> Some ("Ukkonen.build vs the pointer store: " ^ d)
+  | None ->
+    let direct = Suffix_tree.Packed.build db in
+    let via_tree = Suffix_tree.Packed.of_tree tree in
+    packed_diff ?subtree_positions direct via_tree
 
 let direct_build_property ~name ~count gen print =
   QCheck.Test.make ~count ~name (QCheck.make gen ~print) (fun db ->
       match check_direct_build db with
       | None -> true
-      | Some d -> QCheck.Test.fail_reportf "Packed.build differs: %s" d)
+      | Some d -> QCheck.Test.fail_reportf "flat build differs: %s" d)
 
 let db_of alphabet strings =
   Bioseq.Database.make
@@ -389,12 +455,26 @@ let qcheck_direct_build_one_sequence =
 
 let check_no_diff what = function
   | None -> ()
-  | Some d -> Alcotest.failf "%s: Packed.build differs: %s" what d
+  | Some d -> Alcotest.failf "%s: flat build differs: %s" what d
 
 let test_direct_build_protein_db () =
   let rng = Workload.Rng.create ~seed:7 in
   let db = Workload.Generate.protein_database rng ~target_symbols:20_000 () in
   check_no_diff "generated protein database" (check_direct_build db)
+
+(* A periodic sequence: four symbols at equal frequency, so the entropy
+   estimate expects a random-looking tree, but nearly every suffix
+   branches only at its end. The flat store outgrows its first
+   capacity and must still build the same tree. *)
+let test_direct_build_grows () =
+  let db =
+    db_of Bioseq.Alphabet.dna
+      [ String.concat "" (List.init 2_000 (fun _ -> "ACGT")); "GTAC" ]
+  in
+  let s = Suffix_tree.Ukkonen.build_flat db in
+  Alcotest.(check bool) "outgrew the estimate" true
+    (Suffix_tree.Flat.nodes s > Suffix_tree.Flat.estimate_nodes db);
+  check_no_diff "periodic sequence" (check_direct_build db)
 
 (* One 100K-symbol run of a single letter: the tree is a path as deep
    as the sequence, which both builders and the packing pass must
@@ -427,6 +507,8 @@ let () =
             test_direct_build_protein_db;
           Alcotest.test_case "direct packed build, 100K single-symbol run"
             `Quick test_direct_build_deep;
+          Alcotest.test_case "direct packed build, flat store grows" `Quick
+            test_direct_build_grows;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
